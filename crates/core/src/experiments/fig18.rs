@@ -57,8 +57,9 @@ pub struct Fig18Result {
 pub fn run(cfg: &Fig18Config) -> Fig18Result {
     let params = DcqcnParams::default_40g();
     let gains = DcqcnPiFluid::default_gains(&params, cfg.q_ref_kb);
-    let mut panels = Vec::new();
-    for &n in &cfg.flow_counts {
+    // The panels are independent integrations: run them as parallel jobs
+    // with ordered results.
+    let panels = desim::par::par_map(cfg.flow_counts.clone(), |n| {
         let mut m = DcqcnPiFluid::new(params.clone(), gains.clone(), n);
         let tr = m.simulate(cfg.duration_s);
         let from = cfg.duration_s * 0.75;
@@ -82,14 +83,14 @@ pub fn run(cfg: &Fig18Config) -> Fig18Result {
             .map(|&(_, v)| v)
             .sum::<f64>()
             / q_kb.iter().filter(|&&(t, _)| t >= from).count().max(1) as f64;
-        panels.push(Fig18Panel {
+        Fig18Panel {
             n_flows: n,
             queue_kb: q_kb,
             rate_gbps: rate,
             tail_queue_kb: tail_q,
             worst_rate_error: worst,
-        });
-    }
+        }
+    });
     Fig18Result {
         panels,
         q_ref_kb: cfg.q_ref_kb,

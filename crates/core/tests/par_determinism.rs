@@ -9,7 +9,7 @@
 //! process-global environment.
 
 use desim::par::with_threads;
-use ecn_delay_core::experiments::{ext_incast, fig11, fig12, fig3, fig4};
+use ecn_delay_core::experiments::{ext_incast, fig11, fig12, fig18, fig3, fig4};
 use ecn_delay_core::ToJson;
 
 fn quick_fig3() -> fig3::Fig3Config {
@@ -85,6 +85,22 @@ fn fig12_byte_identical_across_thread_counts() {
         .to_json()
         .render_pretty();
     assert_eq!(serial, par2, "fig12 JSON differs between 1 and 2 workers");
+}
+
+#[test]
+fn fig18_byte_identical_across_thread_counts() {
+    let cfg = fig18::Fig18Config {
+        flow_counts: vec![2, 10, 64],
+        q_ref_kb: 100.0,
+        duration_s: 0.01,
+    };
+    let serial = with_threads(1, || fig18::run(&cfg))
+        .to_json()
+        .render_pretty();
+    let par3 = with_threads(3, || fig18::run(&cfg))
+        .to_json()
+        .render_pretty();
+    assert_eq!(serial, par3, "fig18 JSON differs between 1 and 3 workers");
 }
 
 #[test]

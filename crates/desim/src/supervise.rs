@@ -203,14 +203,24 @@ where
 
 /// Commit `result` into `slot idx` unless the watchdog already filled it
 /// (late result of an abandoned attempt: discarded). Returns true if the
-/// commit landed.
-fn commit<I, O, E>(shared: &Shared<I, O, E>, idx: usize, result: Result<O, E>) -> bool {
+/// commit landed. A landed `quarantine` verdict is listed before the done
+/// count rises: the last commit wakes the pool owner, which then reads the
+/// quarantine list.
+fn commit<I, O, E>(
+    shared: &Shared<I, O, E>,
+    idx: usize,
+    result: Result<O, E>,
+    quarantine: bool,
+) -> bool {
     {
         let mut slot = lock_ignore_poison(&shared.slots[idx]);
         match *slot {
             Slot::Pending => *slot = Slot::Done(result),
             Slot::Done(_) => return false,
         }
+    }
+    if quarantine {
+        lock_ignore_poison(&shared.quarantined).push(idx);
     }
     let mut done = lock_ignore_poison(&shared.done);
     *done += 1;
@@ -284,10 +294,9 @@ where
             }
         }
     };
-    let failed = final_result.is_err();
-    if commit(shared, idx, final_result) && failed && exhausted {
+    let quarantine = final_result.is_err() && exhausted;
+    if commit(shared, idx, final_result, quarantine) && quarantine {
         obs::flight::record(0.0, "job_quarantined", idx as f64, None);
-        lock_ignore_poison(&shared.quarantined).push(idx);
     }
 }
 
@@ -322,10 +331,9 @@ where
             // queue still drains.
             *lock_ignore_poison(&shared.started[idx]) = None;
             let verdict = E::job_timeout(idx, deadline_s);
-            if commit(shared.as_ref(), idx, Err(verdict)) {
+            if commit(shared.as_ref(), idx, Err(verdict), true) {
                 obs::flight::record(0.0, "job_timeout", idx as f64, None);
                 obs::flight::record(0.0, "job_quarantined", idx as f64, None);
-                lock_ignore_poison(&shared.quarantined).push(idx);
                 spawn_worker(shared.clone(), worker.clone(), retryable.clone());
             }
         }

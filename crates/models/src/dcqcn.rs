@@ -401,7 +401,8 @@ impl DcqcnFluid {
 
     /// Per-flow derivative given the flow's current state, its delayed rate
     /// and the delayed marking probability. This closure *is* the model; the
-    /// linearization differentiates it numerically.
+    /// linearization differentiates it numerically, and it is the unmemoized
+    /// reference for [`flow_block_rhs`].
     #[allow(clippy::too_many_arguments)]
     fn flow_rhs(
         p: &DcqcnParams,
@@ -412,31 +413,9 @@ impl DcqcnFluid {
         p_delayed: f64,
         out: &mut [f64],
     ) {
-        Self::flow_rhs_terms(
-            p,
-            &MarkTerms::new(p, p_delayed),
-            rc,
-            rt,
-            alpha,
-            rc_delayed,
-            out,
-        )
-    }
-
-    /// [`DcqcnFluid::flow_rhs`] with the flow-independent marking terms
-    /// precomputed, so an N-flow RHS evaluation shares one [`MarkTerms`].
-    #[allow(clippy::too_many_arguments)]
-    fn flow_rhs_terms(
-        p: &DcqcnParams,
-        mk: &MarkTerms,
-        rc: f64,
-        rt: f64,
-        alpha: f64,
-        rc_delayed: f64,
-        out: &mut [f64],
-    ) {
-        let ft = FlowTerms::new(p, mk, rc_delayed);
-        Self::flow_rhs_from_terms(p, mk, &ft, rc, rt, alpha, out);
+        let mk = MarkTerms::new(p, p_delayed);
+        let ft = FlowTerms::new(p, &mk, rc_delayed);
+        Self::flow_rhs_from_terms(p, &mk, &ft, rc, rt, alpha, out);
     }
 
     /// The Eq 5–7 combination step: all transcendental factors arrive
@@ -462,22 +441,6 @@ impl DcqcnFluid {
         out[1] = -(rt - rc) / tau * ft.a + r_ai * ft.rcd * (mk.c + ft.e);
         // Eq 5: α tracks the marking probability seen over τ'.
         out[2] = p.g / tau_prime * (ft.alpha_pow - alpha);
-    }
-
-    /// Public access to the per-flow dynamics for composition (the PI
-    /// variant in [`crate::pi`] reuses DCQCN's flow behaviour with a
-    /// different marking source).
-    #[allow(clippy::too_many_arguments)]
-    pub fn flow_rhs_pub(
-        p: &DcqcnParams,
-        rc: f64,
-        rt: f64,
-        alpha: f64,
-        rc_delayed: f64,
-        p_delayed: f64,
-        out: &mut [f64],
-    ) {
-        Self::flow_rhs(p, rc, rt, alpha, rc_delayed, p_delayed, out)
     }
 
     /// Theorem 1: solve Eq 11 for the unique `p*`, then recover `q*`, `α*`
@@ -845,20 +808,9 @@ impl LaneSystem for DcqcnFluid {
     }
 
     fn lane_project(&mut self, _t: f64, x: &mut [f64], lane: usize, stride: usize) {
-        let line = self.params.capacity_pps();
-        let floor = self.params.min_rate_pps();
         let q = lane_of(0, lane, stride);
         x[q] = x[q].max(0.0); // component 0 is the queue
-        for i in 0..self.n_flows {
-            let rc = lane_of(self.rc_index(i), lane, stride);
-            let rt = lane_of(self.rt_index(i), lane, stride);
-            let al = lane_of(self.alpha_index(i), lane, stride);
-            x[rc] = x[rc].clamp(floor, line);
-            x[rt] = x[rt].clamp(floor, line);
-            x[al] = x[al].clamp(0.0, 1.0);
-            desim::invariants::unit_interval("dcqcn fluid alpha", x[al]);
-            desim::invariants::finite_rate("dcqcn fluid rc_pps", x[rc]);
-        }
+        project_flow_block(&self.params, self.n_flows, 1, x, lane, stride);
     }
 }
 
@@ -883,9 +835,6 @@ impl DcqcnFluid {
     ) {
         let p = &self.params;
         let cap = p.capacity_pps();
-        let q_delayed = delayed[0].max(0.0); // component 0 is the queue
-        let p_delayed = p.red_probability(q_delayed);
-        let mk = MarkTerms::new(p, p_delayed);
 
         // Eq 4: queue integrates excess arrival rate (projection keeps q ≥ 0).
         let sum_rates: f64 = (0..self.n_flows)
@@ -899,31 +848,84 @@ impl DcqcnFluid {
             sum_rates - cap
         };
 
-        // The FlowTerms factors depend only on the flow's delayed rate, and
-        // symmetric flows carry bitwise-identical trajectories, so memoize
-        // on the exact rate bits: an N-flow symmetric run pays the
-        // transcendental cost once instead of N times, with unchanged bits.
-        let mut out = [0.0; 3];
-        let mut memo: Option<(u64, FlowTerms)> = None;
-        for i in 0..self.n_flows {
-            let rc = x[lane_of(self.rc_index(i), lane, stride)];
-            let rt = x[lane_of(self.rt_index(i), lane, stride)];
-            let alpha = x[lane_of(self.alpha_index(i), lane, stride)];
-            let rc_delayed = delayed[self.rc_index(i)];
-            let ft = match &memo {
-                Some((bits, ft)) if *bits == rc_delayed.to_bits() => ft,
-                _ => {
-                    &memo
-                        .insert((rc_delayed.to_bits(), FlowTerms::new(p, &mk, rc_delayed)))
-                        .1
-                }
-            };
-            DcqcnFluid::flow_rhs_from_terms(p, &mk, ft, rc, rt, alpha, &mut out);
-            let [d_rc, d_rt, d_alpha] = out;
-            dxdt[lane_of(self.rc_index(i), lane, stride)] = d_rc;
-            dxdt[lane_of(self.rt_index(i), lane, stride)] = d_rt;
-            dxdt[lane_of(self.alpha_index(i), lane, stride)] = d_alpha;
-        }
+        // RED (Eq 3) on the delayed queue (component 0) is this model's
+        // marking source.
+        let p_delayed = p.red_probability(delayed[0].max(0.0));
+        let n = self.n_flows;
+        flow_block_rhs(p, n, 1, p_delayed, x, lane, stride, delayed, dxdt);
+    }
+}
+
+/// The DCQCN per-flow RHS (Eqs 5–7) over one lane's flow block, shared by
+/// every marking source: RED in [`DcqcnFluid`] (`first = 1`) and PI at the
+/// switch in [`crate::pi::DcqcnPiFluid`] (`first = 2`). Flow `i`'s
+/// `(R_C, R_T, α)` sit at components `first + 3i ..= first + 3i + 2`;
+/// `delayed` is the lane's dense delayed state and `p_delayed` the marking
+/// probability the source derived from it.
+#[allow(clippy::too_many_arguments)]
+pub(crate) fn flow_block_rhs(
+    p: &DcqcnParams,
+    n_flows: usize,
+    first: usize,
+    p_delayed: f64,
+    x: &[f64],
+    lane: usize,
+    stride: usize,
+    delayed: &[f64],
+    dxdt: &mut [f64],
+) {
+    let mk = MarkTerms::new(p, p_delayed);
+    // The FlowTerms factors depend only on the flow's delayed rate, and
+    // symmetric flows carry bitwise-identical trajectories, so memoize on
+    // the exact rate bits: an N-flow symmetric run pays the transcendental
+    // cost once instead of N times, with unchanged bits.
+    let mut out = [0.0; 3];
+    let mut memo: Option<(u64, FlowTerms)> = None;
+    for i in 0..n_flows {
+        let c = first + 3 * i;
+        let rci = lane_of(c, lane, stride);
+        let rti = lane_of(c + 1, lane, stride);
+        let ali = lane_of(c + 2, lane, stride);
+        let (rc, rt, alpha) = (x[rci], x[rti], x[ali]);
+        let rc_delayed = delayed[c];
+        let ft = match &memo {
+            Some((bits, ft)) if *bits == rc_delayed.to_bits() => ft,
+            _ => {
+                &memo
+                    .insert((rc_delayed.to_bits(), FlowTerms::new(p, &mk, rc_delayed)))
+                    .1
+            }
+        };
+        DcqcnFluid::flow_rhs_from_terms(p, &mk, ft, rc, rt, alpha, &mut out);
+        let [d_rc, d_rt, d_alpha] = out;
+        dxdt[rci] = d_rc;
+        dxdt[rti] = d_rt;
+        dxdt[ali] = d_alpha;
+    }
+}
+
+/// Clamp one lane's DCQCN flow block (layout as in [`flow_block_rhs`]) to
+/// its physical ranges, auditing α and `R_C` in debug builds.
+pub(crate) fn project_flow_block(
+    p: &DcqcnParams,
+    n_flows: usize,
+    first: usize,
+    x: &mut [f64],
+    lane: usize,
+    stride: usize,
+) {
+    let line = p.capacity_pps();
+    let floor = p.min_rate_pps();
+    for i in 0..n_flows {
+        let c = first + 3 * i;
+        let rc = lane_of(c, lane, stride);
+        let rt = lane_of(c + 1, lane, stride);
+        let al = lane_of(c + 2, lane, stride);
+        x[rc] = x[rc].clamp(floor, line);
+        x[rt] = x[rt].clamp(floor, line);
+        x[al] = x[al].clamp(0.0, 1.0);
+        desim::invariants::unit_interval("dcqcn fluid alpha", x[al]);
+        desim::invariants::finite_rate("dcqcn fluid rc_pps", x[rc]);
     }
 }
 
@@ -1228,5 +1230,156 @@ mod tests {
             pm_big > pm_default,
             "Kmax=1MB: {pm_big:.1} vs 200KB: {pm_default:.1}"
         );
+    }
+
+    /// Fill the flow block at `first` of a dense current and delayed state
+    /// with random values. The delayed rates are all equal, all distinct or
+    /// drawn from two values, so the `FlowTerms` memo hits, misses and
+    /// alternates; `idle` keeps `ΣR_C < C`.
+    fn random_flows(
+        rng: &mut desim::SimRng,
+        p: &DcqcnParams,
+        n: usize,
+        first: usize,
+        idle: bool,
+        x: &mut [f64],
+        delayed: &mut [f64],
+    ) {
+        let (floor, line) = (p.min_rate_pps(), p.capacity_pps());
+        let top = if idle { 0.9 * line / n as f64 } else { line };
+        let shared = [rng.uniform(floor, line), rng.uniform(floor, line)];
+        let mode = rng.next_below(3);
+        for i in 0..n {
+            let c = first + 3 * i;
+            x[c] = rng.uniform(floor, top);
+            x[c + 1] = rng.uniform(floor, line);
+            x[c + 2] = rng.next_f64();
+            delayed[c] = match mode {
+                0 => shared[0],
+                1 => rng.uniform(floor, line),
+                _ => shared[rng.next_below(2) as usize],
+            };
+            delayed[c + 1] = rng.uniform(floor, line);
+            delayed[c + 2] = rng.next_f64();
+        }
+    }
+
+    /// `sys.lane_rhs` for lane `lane` of a `stride`-wide block whose other
+    /// lanes hold NaN, returned dense. At `t = 0` every delayed lookup falls
+    /// in the pre-history, which is `delayed` exactly.
+    fn lane_rhs_dense<S: LaneSystem>(
+        sys: &mut S,
+        x: &[f64],
+        delayed: &[f64],
+        lane: usize,
+        stride: usize,
+    ) -> Vec<f64> {
+        let dim = x.len();
+        let mut xb = vec![f64::NAN; dim * stride];
+        let mut db = vec![f64::NAN; dim * stride];
+        for c in 0..dim {
+            xb[lane_of(c, lane, stride)] = x[c];
+            db[lane_of(c, lane, stride)] = delayed[c];
+        }
+        let hist = History::new(0.0, &db);
+        let mut dx = vec![f64::NAN; dim * stride];
+        sys.lane_rhs(0.0, &xb, lane, stride, &hist, &mut dx);
+        (0..dim).map(|c| dx[lane_of(c, lane, stride)]).collect()
+    }
+
+    /// The slow reference: the queue row of Eq 4, then one unmemoized
+    /// [`DcqcnFluid::flow_rhs`] per flow of the block at `first`.
+    fn reference_rhs(
+        p: &DcqcnParams,
+        n: usize,
+        first: usize,
+        p_delayed: f64,
+        x: &[f64],
+        delayed: &[f64],
+    ) -> Vec<f64> {
+        let mut want = vec![0.0; x.len()];
+        let sum_rates: f64 = (0..n).map(|i| x[first + 3 * i]).sum();
+        let cap = p.capacity_pps();
+        want[0] = if x[0] <= 0.0 && sum_rates < cap {
+            0.0
+        } else {
+            sum_rates - cap
+        };
+        for i in 0..n {
+            let c = first + 3 * i;
+            let (rc, rt, alpha) = (x[c], x[c + 1], x[c + 2]);
+            DcqcnFluid::flow_rhs(p, rc, rt, alpha, delayed[c], p_delayed, &mut want[c..c + 3]);
+        }
+        want
+    }
+
+    fn assert_bits(got: &[f64], want: &[f64], what: &str) {
+        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(got), bits(want), "{what}: {got:?} vs {want:?}");
+    }
+
+    #[test]
+    fn flow_kernel_matches_unmemoized_reference() {
+        // Both marking sources of the shared flow kernel (RED and PI at the
+        // switch) against one unmemoized `flow_rhs` call per flow, bit for
+        // bit, with `p` at 0, in the interior and saturated at 1.
+        use crate::pi::DcqcnPiFluid;
+        let p = DcqcnParams::default_40g();
+        let gains = DcqcnPiFluid::default_gains(&p, 100.0);
+        let (kmin, kmax) = (p.kmin_pkts(), p.kmax_pkts());
+        let mut rng = desim::SimRng::new(0x0dcc_0f10);
+        for case in 0..600 {
+            let n = 1 + rng.next_below(8) as usize;
+            let idle = rng.next_below(4) == 0;
+            let stride = 1 + rng.next_below(3) as usize;
+            let lane = rng.next_below(stride as u64) as usize;
+            let region = rng.next_below(3);
+            // An empty queue with ΣR_C both below and above C covers both
+            // sides of Eq 4's empty-queue branch.
+            let empty = rng.next_below(3) == 0;
+            let q = if empty {
+                0.0
+            } else {
+                rng.uniform(0.0, 2.0 * kmax)
+            };
+            let what = format!("case {case}: n={n} idle={idle} q={q} region={region}");
+
+            // RED: p is Eq 3 of the delayed queue.
+            let mut red = DcqcnFluid::new(p.clone(), n);
+            let mut x = vec![q; red.state_dim()];
+            let mut d = x.clone();
+            random_flows(&mut rng, &p, n, 1, idle, &mut x, &mut d);
+            d[0] = match region {
+                0 => rng.uniform(-1.0, kmin),
+                1 => 0.5 * (kmin + kmax) + rng.uniform(-0.4, 0.4) * (kmax - kmin),
+                _ => rng.uniform(1.5 * kmax, 2.0 * kmax),
+            };
+            let p_red = p.red_probability(d[0].max(0.0));
+            assert_eq!(p_red == 0.0, region == 0, "{what}");
+            assert_eq!(p_red == 1.0, region == 2, "{what}");
+            let want = reference_rhs(&p, n, 1, p_red, &x, &d);
+            let got = lane_rhs_dense(&mut red, &x, &d, lane, stride);
+            assert_bits(&got, &want, &format!("RED {what}"));
+
+            // PI: p is its own state component, clamped to [0, 1].
+            let mut pi = DcqcnPiFluid::new(p.clone(), gains.clone(), n);
+            let mut x = vec![q; pi.state_dim()];
+            let mut d = x.clone();
+            random_flows(&mut rng, &p, n, 2, idle, &mut x, &mut d);
+            x[1] = [0.0, rng.next_f64(), 1.0][rng.next_below(3) as usize];
+            d[1] = match region {
+                0 => [0.0, -rng.next_f64()][rng.next_below(2) as usize],
+                1 => rng.uniform(0.01, 0.99),
+                _ => [1.0, 1.0 + rng.next_f64()][rng.next_below(2) as usize],
+            };
+            let mut want = reference_rhs(&p, n, 2, d[1].clamp(0.0, 1.0), &x, &d);
+            let mut dp = gains.k1 * want[0] + gains.k2 * (x[0] - gains.q_ref_pkts);
+            if (x[1] >= 1.0 && dp > 0.0) || (x[1] <= 0.0 && dp < 0.0) {
+                dp = 0.0;
+            }
+            want[1] = dp;
+            let got = lane_rhs_dense(&mut pi, &x, &d, lane, stride);
+            assert_bits(&got, &want, &format!("PI {what}"));
+        }
     }
 }

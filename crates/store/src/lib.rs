@@ -260,10 +260,18 @@ impl Store {
 mod tests {
     use super::*;
 
-    fn tmp_store(tag: &str) -> Store {
+    /// The store counters are process-global and the harness runs tests on
+    /// parallel threads, so each test that uses a store holds this lock for
+    /// its whole body; otherwise one test's puts land in another's counts.
+    static STORE_TESTS: std::sync::Mutex<()> = std::sync::Mutex::new(());
+
+    fn tmp_store(tag: &str) -> (Store, std::sync::MutexGuard<'static, ()>) {
+        // A poisoned lock only means another store test failed; `()` holds
+        // no state to distrust.
+        let serial = STORE_TESTS.lock().unwrap_or_else(|e| e.into_inner());
         let d = std::env::temp_dir().join(format!("store_lib_{tag}_{}", std::process::id(),));
         let _ = fs::remove_dir_all(&d);
-        Store::open(d).expect("open")
+        (Store::open(d).expect("open"), serial)
     }
 
     #[test]
@@ -284,7 +292,7 @@ mod tests {
 
     #[test]
     fn put_get_round_trip_with_counters() {
-        let s = tmp_store("roundtrip");
+        let (s, _serial) = tmp_store("roundtrip");
         reset_counters();
         let k = s.key("t", "{\"a\": 1}").expect("key");
         assert_eq!(s.get(&k), None);
@@ -298,7 +306,7 @@ mod tests {
 
     #[test]
     fn corrupt_record_is_quarantined_and_recomputable() {
-        let s = tmp_store("corrupt");
+        let (s, _serial) = tmp_store("corrupt");
         let k = s.key("t", "{\"b\": 2}").expect("key");
         s.put(&k, b"data").expect("put");
         // Flip one payload bit on disk.
@@ -325,7 +333,7 @@ mod tests {
 
     #[test]
     fn quarantine_notes_are_durable_and_advisory() {
-        let s = tmp_store("notes");
+        let (s, _serial) = tmp_store("notes");
         let k = s.key("t", "{}").expect("key");
         s.put_quarantine_note(&k, "{\"kind\": \"timeout\"}")
             .expect("note");
