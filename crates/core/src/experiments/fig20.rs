@@ -67,46 +67,58 @@ pub struct Fig20Result {
 pub fn run(cfg: &Fig20Config) -> Fig20Result {
     let jitter = Jitter::uniform(cfg.jitter_us * 1e-6, cfg.jitter_window_us * 1e-6, cfg.seed);
     let tail = cfg.duration_s * 0.6;
-    let mut panels = Vec::new();
+    let dcqcn = DcqcnParams::default_40g();
+    let patched = PatchedTimelyParams::default_10g();
 
-    // DCQCN.
-    {
-        let params = DcqcnParams::default_40g();
-        let mut clean = DcqcnFluid::new(params.clone(), cfg.n_flows);
-        let fp = clean.fixed_point();
-        let tr_clean = clean.simulate(cfg.duration_s);
-        let mut noisy = DcqcnFluid::new(params, cfg.n_flows).with_jitter(jitter.clone());
-        let tr_noisy = noisy.simulate(cfg.duration_s);
-        panels.push(JitterPanel {
-            protocol: "DCQCN".into(),
+    // The four integrations — each protocol clean and jittered — are
+    // independent (jitter is a pure function of seed and time): run them
+    // as parallel jobs with ordered results. Each yields its queue series
+    // (KB) and tail peak-to-peak queue (packets).
+    let jobs = vec![
+        (true, None),
+        (true, Some(jitter.clone())),
+        (false, None),
+        (false, Some(jitter)),
+    ];
+    let mut runs = desim::par::par_map(jobs, |(is_dcqcn, jitter): (bool, Option<Jitter>)| {
+        if is_dcqcn {
+            let mut m = DcqcnFluid::new(dcqcn.clone(), cfg.n_flows);
+            if let Some(j) = jitter {
+                m = m.with_jitter(j);
+            }
+            let tr = m.simulate(cfg.duration_s);
+            (m.queue_kb(&tr), tr.peak_to_peak_from(0, tail))
+        } else {
+            let mut m = PatchedTimelyFluid::new(patched.clone(), cfg.n_flows);
+            if let Some(j) = jitter {
+                m = m.with_jitter(j);
+            }
+            let tr = m.simulate(cfg.duration_s);
+            (m.queue_kb(&tr), tr.peak_to_peak_from(0, tail))
+        }
+    })
+    .into_iter();
+    let mut panel = |protocol: &str, q_star_pkts: f64| {
+        let (queue_clean_kb, p2p_clean) = runs.next().unwrap_or_default();
+        let (queue_jitter_kb, p2p_jitter) = runs.next().unwrap_or_default();
+        JitterPanel {
+            protocol: protocol.into(),
             oscillation: (
-                tr_clean.peak_to_peak_from(0, tail) / fp.q_star_pkts.max(1.0),
-                tr_noisy.peak_to_peak_from(0, tail) / fp.q_star_pkts.max(1.0),
+                p2p_clean / q_star_pkts.max(1.0),
+                p2p_jitter / q_star_pkts.max(1.0),
             ),
-            queue_clean_kb: clean.queue_kb(&tr_clean),
-            queue_jitter_kb: noisy.queue_kb(&tr_noisy),
-        });
-    }
-
-    // Patched TIMELY (the convergent baseline of Fig 12a).
-    {
-        let params = PatchedTimelyParams::default_10g();
-        let q_star = params.q_star_pkts(cfg.n_flows);
-        let mut clean = PatchedTimelyFluid::new(params.clone(), cfg.n_flows);
-        let tr_clean = clean.simulate(cfg.duration_s);
-        let mut noisy = PatchedTimelyFluid::new(params, cfg.n_flows).with_jitter(jitter);
-        let tr_noisy = noisy.simulate(cfg.duration_s);
-        panels.push(JitterPanel {
-            protocol: "PatchedTIMELY".into(),
-            oscillation: (
-                tr_clean.peak_to_peak_from(0, tail) / q_star.max(1.0),
-                tr_noisy.peak_to_peak_from(0, tail) / q_star.max(1.0),
-            ),
-            queue_clean_kb: clean.queue_kb(&tr_clean),
-            queue_jitter_kb: noisy.queue_kb(&tr_noisy),
-        });
-    }
-
+            queue_clean_kb,
+            queue_jitter_kb,
+        }
+    };
+    let q_star_dcqcn = DcqcnFluid::new(dcqcn.clone(), cfg.n_flows)
+        .fixed_point()
+        .q_star_pkts;
+    // Patched TIMELY is the convergent baseline of Fig 12a.
+    let panels = vec![
+        panel("DCQCN", q_star_dcqcn),
+        panel("PatchedTIMELY", patched.q_star_pkts(cfg.n_flows)),
+    ];
     Fig20Result { panels }
 }
 

@@ -59,26 +59,20 @@ fn run_case(label: &str, rates0: [f64; 2], starts: [f64; 2], duration: f64) -> F
 /// Run all three panels.
 pub fn run(cfg: &Fig9Config) -> Fig9Result {
     let c = TimelyParams::default_10g().capacity_pps();
-    let panels = vec![
-        run_case(
-            "(a) both 5Gbps at t=0",
-            [0.5 * c, 0.5 * c],
-            [0.0, 0.0],
-            cfg.duration_s,
-        ),
-        run_case(
+    let cases = vec![
+        ("(a) both 5Gbps at t=0", [0.5 * c, 0.5 * c], [0.0, 0.0]),
+        (
             "(b) both 5Gbps, one 10ms late",
             [0.5 * c, 0.5 * c],
             [0.0, 0.01],
-            cfg.duration_s,
         ),
-        run_case(
-            "(c) 7Gbps vs 3Gbps",
-            [0.7 * c, 0.3 * c],
-            [0.0, 0.0],
-            cfg.duration_s,
-        ),
+        ("(c) 7Gbps vs 3Gbps", [0.7 * c, 0.3 * c], [0.0, 0.0]),
     ];
+    // The panels are independent integrations: run them as parallel jobs
+    // with ordered results.
+    let panels = desim::par::par_map(cases, |(label, rates0, starts)| {
+        run_case(label, rates0, starts, cfg.duration_s)
+    });
     Fig9Result { panels }
 }
 

@@ -9,7 +9,7 @@
 //! process-global environment.
 
 use desim::par::with_threads;
-use ecn_delay_core::experiments::{ext_incast, fig11, fig12, fig18, fig3, fig4};
+use ecn_delay_core::experiments::{ext_incast, fig11, fig12, fig18, fig20, fig3, fig4, fig9};
 use ecn_delay_core::ToJson;
 
 fn quick_fig3() -> fig3::Fig3Config {
@@ -101,6 +101,35 @@ fn fig18_byte_identical_across_thread_counts() {
         .to_json()
         .render_pretty();
     assert_eq!(serial, par3, "fig18 JSON differs between 1 and 3 workers");
+}
+
+#[test]
+fn fig9_byte_identical_across_thread_counts() {
+    let cfg = fig9::Fig9Config { duration_s: 0.02 };
+    let serial = with_threads(1, || fig9::run(&cfg))
+        .to_json()
+        .render_pretty();
+    let par3 = with_threads(3, || fig9::run(&cfg))
+        .to_json()
+        .render_pretty();
+    assert_eq!(serial, par3, "fig9 JSON differs between 1 and 3 workers");
+}
+
+#[test]
+fn fig20_byte_identical_across_thread_counts() {
+    // Four independent integrations, two of them jittered: the jitter is a
+    // pure function of (seed, t), so the worker count cannot reach it.
+    let cfg = fig20::Fig20Config {
+        duration_s: 0.02,
+        ..Default::default()
+    };
+    let serial = with_threads(1, || fig20::run(&cfg))
+        .to_json()
+        .render_pretty();
+    let par3 = with_threads(3, || fig20::run(&cfg))
+        .to_json()
+        .render_pretty();
+    assert_eq!(serial, par3, "fig20 JSON differs between 1 and 3 workers");
 }
 
 #[test]

@@ -12,10 +12,12 @@
 //!   in memory, so the RK4 stage kernels ([`crate::dde`]'s `stage_state` /
 //!   `rk4_combine`, shared with the scalar path) are tight per-component
 //!   loops over the batch lane that rustc auto-vectorizes. The [`History`]
-//!   stores the same flat layout, so one [`History::eval_strided`] call
-//!   fetches a lane's full delayed state with a single bracketing-knot
-//!   locate, and the shared locate cursor amortizes the binary search across
-//!   all B lanes of a delayed-time evaluation.
+//!   stores the same flat layout, cut to the first
+//!   [`BatchDdeSystem::history_dim`]` × B` entries (the components the lanes
+//!   read delayed; component-major, so that is a plain prefix), so one
+//!   [`History::eval_strided`] call fetches a lane's delayed state with a
+//!   single bracketing-knot locate, and the shared locate cursor amortizes
+//!   the search across all B lanes of a delayed-time evaluation.
 //! * **Bit-identity** — a lane kernel ([`LaneSystem::lane_rhs`]) is *the*
 //!   model implementation: the scalar [`DdeSystem`](crate::dde::DdeSystem)
 //!   path calls it with `lane = 0, stride = 1`, the batch path with
@@ -96,6 +98,13 @@ pub trait LaneSystem {
     /// Smallest delay this lane will ever query (`f64::INFINITY` if none).
     fn min_delay(&self) -> f64;
 
+    /// How many leading per-lane components `lane_rhs` reads through the
+    /// [`History`] (see [`DdeSystem::history_dim`](crate::dde::DdeSystem::history_dim)).
+    /// Default: the whole lane state.
+    fn history_dim(&self) -> usize {
+        self.lane_dim()
+    }
+
     /// Optional per-step projection of this lane's components (clamping).
     /// Default: no projection.
     fn lane_project(&mut self, _t: f64, _x: &mut [f64], _lane: usize, _stride: usize) {}
@@ -105,7 +114,7 @@ pub trait LaneSystem {
     /// lane's lookups are state-dependent or span several instants.
     ///
     /// When all lanes of a batch report the bitwise-same instant, the batch
-    /// driver interpolates the whole `[lane_dim × B]` block row **once**
+    /// driver interpolates the recorded `[history_dim × B]` block row **once**
     /// (one knot search, one dense lerp) and hands each lane its slice via
     /// [`LaneSystem::lane_rhs_prefetched`] — the "one locate amortized
     /// across lanes" fast path. Interpolation arithmetic is per-component
@@ -117,7 +126,7 @@ pub trait LaneSystem {
 
     /// [`LaneSystem::lane_rhs`] with the block row at this lane's single
     /// delayed instant already interpolated into `delayed` (stride layout,
-    /// full `[lane_dim × B]`). Only called when [`LaneSystem::lane_delay_at`]
+    /// the recorded `[history_dim × B]` prefix). Only called when [`LaneSystem::lane_delay_at`]
     /// returned `Some`; the default delegates back to the history-querying
     /// path and ignores the prefetch.
     #[allow(clippy::too_many_arguments)]
@@ -149,6 +158,13 @@ pub trait BatchDdeSystem {
     /// Smallest delay any lane will ever query.
     fn min_delay(&self) -> f64;
 
+    /// How many leading per-lane components the RHS reads through the
+    /// history. The block is component-major, so the recorded prefix is the
+    /// first `history_dim() × B` entries of each knot. Default: all.
+    fn history_dim(&self) -> usize {
+        self.lane_dim()
+    }
+
     /// Optional per-step projection of the whole block.
     fn project(&mut self, _t: f64, _x: &mut [f64]) {}
 }
@@ -159,25 +175,32 @@ pub trait BatchDdeSystem {
 pub struct LaneBatch<M: LaneSystem> {
     models: Vec<M>,
     lane_dim: usize,
+    history_dim: usize,
     /// Scratch for the shared-delayed-instant prefetch row
-    /// (`[lane_dim × B]`, see [`LaneSystem::lane_delay_at`]).
+    /// (`[history_dim × B]`, see [`LaneSystem::lane_delay_at`]).
     prefetch: Vec<f64>,
 }
 
 impl<M: LaneSystem> LaneBatch<M> {
     /// Batch `models` into lockstep lanes. Panics if `models` is empty or
-    /// the lane state dimensions disagree.
+    /// the lane state or history dimensions disagree.
     pub fn new(models: Vec<M>) -> Self {
         assert!(!models.is_empty(), "a batch needs at least one lane");
         // `models[0]` is safe: non-emptiness asserted above.
-        let lane_dim = models[0].lane_dim();
+        let (lane_dim, history_dim) = (models[0].lane_dim(), models[0].history_dim());
         for m in &models {
             assert_eq!(m.lane_dim(), lane_dim, "lanes must share the state dim");
+            assert_eq!(
+                m.history_dim(),
+                history_dim,
+                "lanes must share the history dim"
+            );
         }
-        let prefetch = vec![0.0; lane_dim * models.len()];
+        let prefetch = vec![0.0; history_dim * models.len()];
         LaneBatch {
             models,
             lane_dim,
+            history_dim,
             prefetch,
         }
     }
@@ -231,6 +254,10 @@ impl<M: LaneSystem> BatchDdeSystem for LaneBatch<M> {
             .iter()
             .map(LaneSystem::min_delay)
             .fold(f64::INFINITY, f64::min)
+    }
+
+    fn history_dim(&self) -> usize {
+        self.history_dim
     }
 
     fn project(&mut self, t: f64, x: &mut [f64]) {
@@ -312,10 +339,21 @@ pub fn try_integrate_dde_batch<S: BatchDdeSystem>(
         ));
     }
 
-    let mut hist = History::new(t0, pre);
+    let m = sys.history_dim();
+    if m > n {
+        return Err(SimError::config(
+            "integrate_dde_batch",
+            format!("history prefix {m} exceeds lane state dimension {n}"),
+        ));
+    }
+
+    // Record only the delayed prefix: components `0..m` of every lane are
+    // the first `m·B` entries of the component-major block.
+    let recorded = m * b;
+    let mut hist = History::new(t0, &pre[..recorded]);
     // simlint: allow(float-cmp) — exact-by-design: only a bitwise-identical pre-history skips the knot
     if pre != x0 {
-        hist.push(t0, x0);
+        hist.push(t0, &x0[..recorded]);
     }
 
     let record_every = opts.record_every.max(1);
@@ -339,6 +377,9 @@ pub fn try_integrate_dde_batch<S: BatchDdeSystem>(
     let mut tmp = vec![0.0; total];
     let mut x_prev = vec![0.0; total];
 
+    // Completed steps, added to `fluid.dde_steps` once at the end: with
+    // metrics on, each counter update takes the registry lock.
+    let mut stepped = 0u64;
     let _span = obs::span::enter(obs::Phase::Integrate);
     'integration: for step in 1..=steps {
         let h = (t1 - t).min(opts.step);
@@ -412,7 +453,7 @@ pub fn try_integrate_dde_batch<S: BatchDdeSystem>(
                 step_norm = step_norm.max(norm);
             }
         }
-        hist.push(t, &x);
+        hist.push(t, &x[..recorded]);
         if opts.history_horizon_s.is_finite() {
             hist.trim_before(t - opts.history_horizon_s);
         }
@@ -434,7 +475,7 @@ pub fn try_integrate_dde_batch<S: BatchDdeSystem>(
                 obs::timeseries::observe("fluid.state_norm", 0, step_norm);
             }
         }
-        obs::metrics::counter_inc("fluid.dde_steps");
+        stepped += 1;
         if obs::trace::enabled() {
             obs::trace::record(
                 t,
@@ -445,6 +486,7 @@ pub fn try_integrate_dde_batch<S: BatchDdeSystem>(
             );
         }
     }
+    obs::metrics::counter_add("fluid.dde_steps", stepped);
 
     Ok(traces
         .into_iter()

@@ -7,6 +7,12 @@
 //! queue itself). Intra-step RK stages query the history too; lookups past
 //! the last knot return the latest value, so accuracy demands steps no larger
 //! than the smallest delay — the integrator asserts a sane ratio.
+//!
+//! The history records only the state prefix the model reads delayed
+//! ([`DdeSystem::history_dim`], the whole state by default). The TIMELY
+//! family reads nothing but the delayed queue, so its histories hold one
+//! component per knot instead of `1 + 2N`; which values the RHS sees, and
+//! so every output bit, is unchanged.
 
 use crate::history::History;
 use crate::trace::Trace;
@@ -31,6 +37,16 @@ pub trait DdeSystem {
     /// The smallest delay the model will ever query, used for a step-size
     /// sanity check. Return `f64::INFINITY` for delay-free systems.
     fn min_delay(&self) -> f64;
+
+    /// How many leading state components the right-hand side reads through
+    /// the [`History`]; the driver records only that prefix of each knot.
+    /// Default: the whole state. A model whose delayed terms see only its
+    /// first component (the TIMELY family reads just the queue) declares 1,
+    /// which shrinks the history by the state dimension without changing a
+    /// value it reads.
+    fn history_dim(&self) -> usize {
+        self.dim()
+    }
 
     /// Optional state projection applied after every step (e.g. clamping the
     /// queue length and rates to be non-negative, as the physical system
@@ -80,6 +96,34 @@ pub(crate) fn rk4_combine(x: &mut [f64], h: f64, k1: &[f64], k2: &[f64], k3: &[f
     for i in 0..x.len() {
         x[i] += w * (k1[i] + 2.0 * k2[i] + 2.0 * k3[i] + k4[i]);
     }
+}
+
+/// The watchdog's view of a state: whether every component is finite and,
+/// if so, its max-norm. A non-finite state's norm is never reported (the
+/// watchdog reports NaN), and over finite values the maximum does not
+/// depend on the order it is taken in, so eight interleaved partial maxima
+/// (which vectorize) give bitwise the value of the sequential fold from 0.
+#[inline]
+fn watchdog_norm(x: &[f64]) -> (f64, bool) {
+    let mut part = [0.0f64; 8];
+    let mut finite = true;
+    let mut chunks = x.chunks_exact(8);
+    for chunk in &mut chunks {
+        for (p, &xi) in part.iter_mut().zip(chunk) {
+            let a = xi.abs();
+            finite &= a < f64::INFINITY;
+            *p = if a > *p { a } else { *p };
+        }
+    }
+    for (p, &xi) in part.iter_mut().zip(chunks.remainder()) {
+        let a = xi.abs();
+        finite &= a < f64::INFINITY;
+        *p = if a > *p { a } else { *p };
+    }
+    let norm = part
+        .iter()
+        .fold(0.0, |m: f64, &p| if p > m { p } else { m });
+    (norm, finite)
 }
 
 /// Integrate the DDE from `t0` to `t1` starting at `x0`, with constant
@@ -184,13 +228,22 @@ pub fn try_integrate_dde_with_prehistory<S: DdeSystem>(
             ),
         ));
     }
+    let m = sys.history_dim();
+    if m > n {
+        return Err(SimError::config(
+            "integrate_dde",
+            format!("history prefix {m} exceeds state dimension {n}"),
+        ));
+    }
 
-    let mut hist = History::new(t0, pre);
+    // Only the delayed prefix `x[..m]` is recorded: the RHS never reads
+    // further through the history.
+    let mut hist = History::new(t0, &pre[..m]);
     // simlint: allow(float-cmp) — exact-by-design: only a bitwise-identical pre-history skips the knot
     if pre != x0 {
         // The state jumps to x0 at t0; represent as a knot at t0 replacing
         // the pre value (History replaces same-time knots).
-        hist.push(t0, x0);
+        hist.push(t0, &x0[..m]);
     }
 
     let record_every = opts.record_every.max(1);
@@ -221,14 +274,7 @@ pub fn try_integrate_dde_with_prehistory<S: DdeSystem>(
         sys.project(t, &mut x);
         // Divergence watchdog: NaN/Inf or an exploding state bails with a
         // structured diagnostic instead of taking the whole process down.
-        let mut norm = 0.0f64;
-        let mut finite = true;
-        for &xi in &x {
-            if !xi.is_finite() {
-                finite = false;
-            }
-            norm = norm.max(xi.abs());
-        }
+        let (norm, finite) = watchdog_norm(&x);
         if !finite || norm > DIVERGENCE_NORM {
             let state_norm = if finite { norm } else { f64::NAN };
             obs::metrics::counter_inc("fluid.watchdog_trips");
@@ -253,9 +299,10 @@ pub fn try_integrate_dde_with_prehistory<S: DdeSystem>(
             // before the error propagates.
             obs::flight::record(t, "watchdog", state_norm, obs::flight::current_cause());
             obs::flight::dump_on_error(&err.to_string());
+            obs::metrics::counter_add("fluid.dde_steps", step as u64 - 1);
             return Err(err);
         }
-        hist.push(t, &x);
+        hist.push(t, &x[..m]);
         if opts.history_horizon_s.is_finite() {
             hist.trim_before(t - opts.history_horizon_s);
         }
@@ -274,7 +321,6 @@ pub fn try_integrate_dde_with_prehistory<S: DdeSystem>(
                 obs::timeseries::observe("fluid.state_norm", 0, norm);
             }
         }
-        obs::metrics::counter_inc("fluid.dde_steps");
         if obs::trace::enabled() {
             obs::trace::record(
                 t,
@@ -285,6 +331,9 @@ pub fn try_integrate_dde_with_prehistory<S: DdeSystem>(
             );
         }
     }
+    // Counted once per integration, not per step: with metrics on, each
+    // counter update takes the registry lock.
+    obs::metrics::counter_add("fluid.dde_steps", steps as u64);
     Ok(trace)
 }
 
@@ -412,6 +461,68 @@ mod tests {
         let full = run(f64::INFINITY);
         let trimmed = run(1.5); // > max delay of 1.0
         assert!((full - trimmed).abs() < 1e-12);
+    }
+
+    /// dx₀/dt = −x₁(t − 1), dx₁/dt = −x₀(t − 1), declaring `prefix`
+    /// delayed components.
+    struct CrossDelay {
+        prefix: usize,
+    }
+    impl DdeSystem for CrossDelay {
+        fn dim(&self) -> usize {
+            2
+        }
+        fn rhs(&mut self, t: f64, _x: &[f64], hist: &History, dxdt: &mut [f64]) {
+            dxdt[0] = -hist.eval(t - 1.0, 1);
+            dxdt[1] = -hist.eval(t - 1.0, 0);
+        }
+        fn min_delay(&self) -> f64 {
+            1.0
+        }
+        fn history_dim(&self) -> usize {
+            self.prefix
+        }
+    }
+
+    #[test]
+    fn full_history_prefix_integrates() {
+        let opts = DdeOptions {
+            step: 1e-2,
+            record_every: 1,
+            history_horizon_s: 2.0,
+        };
+        let tr = integrate_dde(&mut CrossDelay { prefix: 2 }, &[1.0, 0.5], 0.0, 1.0, &opts);
+        // On [0, 1] the delayed terms are the constant pre-history.
+        let last = tr.last_state().unwrap();
+        assert!(
+            (last[0] - 0.5).abs() < 1e-9 && (last[1] + 0.5).abs() < 1e-9,
+            "{last:?}"
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "component out of range")]
+    fn reading_past_the_declared_history_prefix_panics() {
+        // Component 1 is read delayed but not declared: the history holds
+        // only component 0, and `History::eval`'s range check trips.
+        let opts = DdeOptions {
+            step: 1e-2,
+            record_every: 1,
+            history_horizon_s: 2.0,
+        };
+        integrate_dde(&mut CrossDelay { prefix: 1 }, &[1.0, 0.5], 0.0, 1.0, &opts);
+    }
+
+    #[test]
+    fn history_prefix_longer_than_state_is_config_error() {
+        let opts = DdeOptions {
+            step: 1e-2,
+            record_every: 1,
+            history_horizon_s: 2.0,
+        };
+        let e = try_integrate_dde(&mut CrossDelay { prefix: 3 }, &[1.0, 0.5], 0.0, 1.0, &opts)
+            .unwrap_err();
+        assert!(e.to_string().contains("history prefix 3"), "{e}");
     }
 
     #[test]

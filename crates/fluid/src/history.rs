@@ -16,6 +16,23 @@
 //! would otherwise pay N+1 independent searches. [`History::trim_before`]
 //! advances a logical front offset and only compacts the buffers once the
 //! dead prefix dominates, amortizing the `drain` that used to run every step.
+//!
+//! A history need not hold the whole model state: the DDE drivers record
+//! only the leading components a model reads delayed (its declared
+//! `history_dim`, the queue alone for the TIMELY family), and a read past
+//! that prefix trips [`History::eval`]'s range check.
+//!
+//! Locating the bracketing knot pair starts from a cursor left by the
+//! previous query, which serves monotone sweeps by a short forward walk.
+//! On a cursor miss — a lookup far behind or ahead, as TIMELY's
+//! `q(t − τ′)` / `q(t − τ′ − τ*)` pairs alternate — the knot index is
+//! guessed from the mean knot spacing and corrected by a walk of at most
+//! eight knots, so a fixed-step integration's far lookups cost O(1);
+//! a grid too irregular for the guess falls back to binary search.
+
+/// Longest correction walk [`History::guess_locate`] takes from its
+/// mean-spacing guess before it falls back to binary search.
+const MAX_WALK: usize = 8;
 
 /// Interpolated solution history for DDE integration.
 #[derive(Debug, Clone)]
@@ -211,28 +228,73 @@ impl History {
     }
 
     /// Find physical `idx` with `times[idx] <= t < times[idx+1]`, exploiting
-    /// monotone query locality via a cursor, falling back to binary search.
+    /// monotone query locality via a cursor; on a cursor miss, jump to the
+    /// knot the mean spacing predicts ([`History::guess_locate`]).
     fn locate(&self, t: f64) -> usize {
         let n = self.times.len();
         let mut idx = self.cursor.get().clamp(self.front, n - 2);
         if self.times[idx] <= t {
-            // Walk forward a few steps before giving up to binary search.
+            // Walk forward a few steps before giving up on the cursor.
             let mut walked = 0;
             while idx + 1 < n - 1 && self.times[idx + 1] <= t {
                 idx += 1;
                 walked += 1;
                 if walked > 8 {
-                    idx = self.bsearch(t);
+                    idx = self.guess_locate(t);
                     break;
                 }
             }
         } else {
-            idx = self.bsearch(t);
+            idx = self.guess_locate(t);
         }
         self.cursor.set(idx);
         idx
     }
 
+    /// The bracket of `t` from the mean knot spacing of the live range,
+    /// corrected by a short walk. A fixed-step integration lays its knots
+    /// on a near-uniform grid, so the guess is the bracket or one knot off
+    /// and a far lookup costs O(1) instead of a binary search. Times are
+    /// strictly increasing (a same-time push replaces the knot), so the
+    /// bracket is unique and this returns exactly what [`History::bsearch`]
+    /// does; a walk longer than [`MAX_WALK`] knots (a non-uniform grid)
+    /// falls back to it, keeping the worst case O(log n).
+    fn guess_locate(&self, t: f64) -> usize {
+        if t.is_nan() {
+            return self.bsearch(t);
+        }
+        let (lo, hi) = (self.front, self.times.len() - 2);
+        let mut idx = self.spacing_guess(t);
+        for _ in 0..MAX_WALK {
+            if self.times[idx] > t {
+                if idx == lo {
+                    break;
+                }
+                idx -= 1;
+            } else if idx < hi && self.times[idx + 1] <= t {
+                idx += 1;
+            } else {
+                return idx;
+            }
+        }
+        self.bsearch(t)
+    }
+
+    /// The bracket start the mean knot spacing of the live range predicts
+    /// for `t`, clamped to a valid bracket start.
+    fn spacing_guess(&self, t: f64) -> usize {
+        let (lo, hi) = (self.front, self.times.len() - 2);
+        let (t_lo, t_hi) = (self.times[lo], self.times[hi + 1]);
+        let frac = (t - t_lo) / (t_hi - t_lo);
+        // `as` saturates (negative → 0), and the clamp keeps the guess in
+        // range; a bad guess only costs the fallback.
+        ((frac * (hi + 1 - lo) as f64) as usize)
+            .saturating_add(lo)
+            .min(hi)
+    }
+
+    /// Reference locate by binary search over the live knots; the oracle
+    /// for [`History::guess_locate`] and its fallback.
     fn bsearch(&self, t: f64) -> usize {
         let hi = self.times.len() - 2;
         match self.times[self.front..].binary_search_by(|probe| probe.total_cmp(&t)) {
@@ -252,14 +314,17 @@ impl History {
     /// of the copy is amortized O(1) per retired knot.
     pub fn trim_before(&mut self, t_keep: f64) {
         // Keep one knot at or before t_keep so interpolation at t_keep works:
-        // partition_point gives the first index with t > t_keep; the knot
-        // before it is the last one at or before t_keep.
-        let live = &self.times[self.front..];
-        let first_needed = live.partition_point(|&t| t <= t_keep).saturating_sub(1);
-        if first_needed == 0 {
+        // the new front is the last knot at or before t_keep. Walk to it
+        // from the old front: the front only advances, so each knot is
+        // passed once and a per-step trim costs O(1) amortized.
+        let mut front = self.front;
+        while front + 1 < self.times.len() && self.times[front + 1] <= t_keep {
+            front += 1;
+        }
+        if front == self.front {
             return;
         }
-        self.front += first_needed;
+        self.front = front;
         self.pre
             .copy_from_slice(&self.states[self.front * self.dim..(self.front + 1) * self.dim]);
         if self.cursor.get() < self.front {
@@ -524,6 +589,184 @@ mod tests {
         assert_eq!(h.eval(400.25, 0), 800.5);
         // Queries behind the new front return the oldest retained knot.
         assert_eq!(h.eval(0.0, 0), 2.0 * 257.0);
+    }
+
+    /// Knot grids for the locate oracle.
+    #[derive(Debug, Clone, Copy, PartialEq)]
+    enum Grid {
+        /// Fixed step, accumulated like the integrators' `t += h`.
+        Uniform,
+        /// Each knot moved by up to 0.4 of a step.
+        Jittered,
+        /// Spacing growing 0.4% per knot: the mean-spacing guess lands far
+        /// from the bracket and the bounded walk must fall back.
+        Geometric,
+        /// Uniform, trimmed every push so the front advances and the
+        /// buffers compact.
+        Compacted,
+        /// Uniform, every 7th knot replaced by a same-time push.
+        Replaced,
+        /// Uniform, closed by a short last step (the integrators' final
+        /// `h = t1 − t`).
+        PartialLast,
+    }
+
+    const GRIDS: [Grid; 6] = [
+        Grid::Uniform,
+        Grid::Jittered,
+        Grid::Geometric,
+        Grid::Compacted,
+        Grid::Replaced,
+        Grid::PartialLast,
+    ];
+
+    /// A history of random `dim`-component states on `grid`.
+    fn oracle_history(rng: &mut desim::SimRng, grid: Grid, dim: usize) -> History {
+        let row = |rng: &mut desim::SimRng| -> Vec<f64> {
+            (0..dim).map(|_| rng.uniform(-50.0, 50.0)).collect()
+        };
+        let step = 1e-6;
+        let n = 3000;
+        let mut h = History::new(0.0, &row(rng));
+        let mut t = 0.0;
+        for i in 1..=n {
+            t = match grid {
+                Grid::Jittered => (i as f64 + rng.uniform(-0.4, 0.4)) * step,
+                Grid::Geometric => step * 1.004f64.powi(i as i32),
+                _ => t + step,
+            };
+            h.push(t, &row(rng));
+            match grid {
+                Grid::Compacted => h.trim_before(t - 500.0 * step),
+                Grid::Replaced if i % 7 == 0 => h.push(t, &row(rng)),
+                _ => {}
+            }
+        }
+        if grid == Grid::PartialLast {
+            h.push(t + 0.3 * step, &row(rng));
+        }
+        if grid == Grid::Compacted {
+            assert!(h.times.len() < n, "the compacted grid must have compacted");
+        }
+        h
+    }
+
+    /// [`History::eval`] with the bracket found by the reference binary
+    /// search; the same interpolation arithmetic.
+    fn reference_eval(h: &History, t: f64, c: usize) -> f64 {
+        let n = h.times.len();
+        if t <= h.times[h.front] {
+            return h.pre[c];
+        }
+        if t >= h.times[n - 1] {
+            return h.row(n - 1)[c];
+        }
+        let idx = h.bsearch(t);
+        let (t0, t1) = (h.times[idx], h.times[idx + 1]);
+        let (v0, v1) = (h.row(idx)[c], h.row(idx + 1)[c]);
+        if t1 == t0 {
+            return v1;
+        }
+        let w = (t - t0) / (t1 - t0);
+        v0 + w * (v1 - v0)
+    }
+
+    /// Query times over the live range and a margin past each end, in one
+    /// of three orders: random, monotone, or alternating near/far (the
+    /// `q(t − τ′)` / `q(t − τ′ − τ*)` pattern of the TIMELY models).
+    fn oracle_queries(rng: &mut desim::SimRng, h: &History, order: usize) -> Vec<f64> {
+        let (lo, hi) = (h.t_front(), h.t_back());
+        let span = hi - lo;
+        let count = 600;
+        let mut qs = Vec::with_capacity(2 * count + 1);
+        for k in 0..count {
+            let frac = (k as f64 + rng.next_f64()) / count as f64;
+            match order {
+                0 => qs.push(lo + rng.uniform(-0.05, 1.05) * span),
+                1 => qs.push(lo + frac * span),
+                _ => {
+                    let near = lo + frac * span;
+                    qs.push(near);
+                    qs.push(near - rng.uniform(0.0, 0.5) * span);
+                }
+            }
+        }
+        qs.push(f64::NAN);
+        qs
+    }
+
+    #[test]
+    fn locate_matches_binary_search_oracle() {
+        // The cursor + mean-spacing locate against the reference binary
+        // search, on the bracket index and on `eval`/`eval_strided` bits,
+        // over every grid and query order.
+        let mut rng = desim::SimRng::new(0x10CA7E);
+        let (lanes, lane_dim) = (3, 2);
+        let dim = lanes * lane_dim;
+        let mut out = vec![0.0; lane_dim];
+        for grid in GRIDS {
+            let mut far_guesses = 0;
+            for order in 0..3 {
+                let h = oracle_history(&mut rng, grid, dim);
+                for t in oracle_queries(&mut rng, &h, order) {
+                    let what = format!("{grid:?} order {order} t={t}");
+                    if t > h.t_front() && t < h.t_back() {
+                        let want = h.bsearch(t);
+                        assert_eq!(h.locate(t), want, "locate: {what}");
+                        assert_eq!(h.guess_locate(t), want, "guess_locate: {what}");
+                        if h.spacing_guess(t).abs_diff(want) > MAX_WALK {
+                            far_guesses += 1;
+                        }
+                    }
+                    for c in 0..dim {
+                        let want = reference_eval(&h, t, c);
+                        let got = h.eval(t, c);
+                        assert_eq!(got.to_bits(), want.to_bits(), "eval c={c}: {what}");
+                    }
+                    for lane in 0..lanes {
+                        h.eval_strided(t, lane, lanes, lane_dim, &mut out);
+                        for (k, &got) in out.iter().enumerate() {
+                            let want = reference_eval(&h, t, lane + k * lanes);
+                            assert_eq!(got.to_bits(), want.to_bits(), "strided: {what}");
+                        }
+                    }
+                }
+            }
+            // On a near-uniform grid the guess is within the walk, so a far
+            // lookup costs O(1); the geometric grid exercises the fallback.
+            if grid == Grid::Geometric {
+                assert!(far_guesses > 0, "geometric grid must hit the fallback");
+            } else {
+                assert_eq!(far_guesses, 0, "{grid:?}: guess outside the walk");
+            }
+        }
+    }
+
+    #[test]
+    fn trim_matches_partition_point_reference() {
+        // The forward-walking trim against the binary-search rule it
+        // replaced: the new front is the last knot at or before `t_keep`,
+        // for steady, jumping, backward and NaN cut points, across
+        // compactions.
+        let mut rng = desim::SimRng::new(0x7219);
+        let mut h = History::new(0.0, &[0.0]);
+        let mut t = 0.0;
+        for i in 1..=5000 {
+            t += rng.uniform(0.5, 1.5);
+            h.push(t, &[t]);
+            let t_keep = match rng.next_below(8) {
+                0 => t - rng.uniform(0.0, 400.0),
+                1 => h.t_front() - 1.0,
+                2 if i % 50 == 0 => f64::NAN,
+                _ => t - 100.0,
+            };
+            let live = &h.times[h.front..];
+            let keep = live.partition_point(|&u| u <= t_keep).saturating_sub(1);
+            let want = live[keep];
+            h.trim_before(t_keep);
+            assert_eq!(h.t_front(), want, "knot {i}, t_keep {t_keep}");
+            assert_eq!(h.pre, [want], "pre-history is the front knot");
+        }
     }
 
     #[test]

@@ -943,6 +943,10 @@ impl DdeSystem for DcqcnFluid {
         LaneSystem::min_delay(self)
     }
 
+    fn history_dim(&self) -> usize {
+        LaneSystem::history_dim(self)
+    }
+
     fn project(&mut self, t: f64, x: &mut [f64]) {
         self.lane_project(t, x, 0, 1);
     }

@@ -17,13 +17,15 @@
 //! flows.
 
 use crate::jitter::Jitter;
-use crate::timely::TimelyParams;
+use crate::timely::{
+    family_lane_project, family_lane_rhs, RateLaw, TimelyConsts, TimelyParams, QUEUE_ONLY,
+};
 use crate::units;
 use control::complex::Complex64;
 use control::linearize;
 use control::margins::{phase_margin_adaptive, MarginReport};
 use control::DelayLtiEvaluator;
-use fluid::batch::{lane_of, LaneSystem};
+use fluid::batch::LaneSystem;
 use fluid::dde::{integrate_dde_with_prehistory, DdeOptions, DdeSystem};
 use fluid::history::History;
 use fluid::trace::Trace;
@@ -133,8 +135,17 @@ impl PatchedTimelyFluid {
     }
 
     /// Per-flow RHS of Eq 29 (+ Eq 22 for the gradient), given delayed queue
-    /// observations `qd1 = q(t−τ′)` and `qd2 = q(t−τ′−τ*)`.
-    fn flow_rhs(p: &PatchedTimelyParams, r: f64, g: f64, qd1: f64, qd2: f64, out: &mut [f64]) {
+    /// observations `qd1 = q(t−τ′)` and `qd2 = q(t−τ′−τ*)`. The unmemoized
+    /// form: the linearization differentiates it, and the shared
+    /// TIMELY-family kernel is checked against it bit for bit.
+    pub(crate) fn flow_rhs(
+        p: &PatchedTimelyParams,
+        r: f64,
+        g: f64,
+        qd1: f64,
+        qd2: f64,
+        out: &mut [f64],
+    ) {
         let base = &p.base;
         let tau = base.tau_star(r);
         let q_low = base.q_low_pkts();
@@ -270,6 +281,27 @@ impl PatchedTimelyFluid {
     }
 }
 
+impl RateLaw for PatchedTimelyFluid {
+    const FLOW_DIM: usize = 2;
+
+    /// Eq 29: the continuous weight `w(g)` of Eq 30 blends additive increase
+    /// with a decrease on the absolute queue error `(q(t−τ′) − q′)/q′`.
+    fn band_rate(&self, k: &TimelyConsts, s: &[f64], qd1: f64, tau: f64) -> f64 {
+        let q_ref = self.params.q_ref_pkts;
+        eq29_band(k, s, tau, (qd1 - q_ref) / q_ref)
+    }
+}
+
+/// Eq 29's gradient-band `dR/dt` for flow state `s = [R, g, …]`, with `err`
+/// the decrease signal: the queue error `(q − q′)/q′` in patched TIMELY,
+/// the end-host PI state `p_i` in [`crate::pi::PatchedTimelyPiFluid`].
+pub(crate) fn eq29_band(k: &TimelyConsts, s: &[f64], tau: f64, err: f64) -> f64 {
+    // A flow state holds at least (R, g).
+    let (r, g) = (s[0], s[1]);
+    let w = PatchedTimelyParams::weight(g);
+    (1.0 - w) * k.delta_pps / tau - w * k.beta * r / tau * err
+}
+
 impl LaneSystem for PatchedTimelyFluid {
     fn lane_dim(&self) -> usize {
         self.state_dim()
@@ -284,68 +316,31 @@ impl LaneSystem for PatchedTimelyFluid {
         hist: &History,
         dxdt: &mut [f64],
     ) {
-        let base = &self.params.base;
-        let c = base.capacity_pps();
         let extra = self.jitter.as_ref().map_or(0.0, |j| j.extra(t));
-        let q_lane = lane_of(0, lane, stride);
-        // Component 0 is the queue; the delayed lookup time is per-lane
-        // because Eq 24's feedback delay depends on the lane's own queue.
-        let tau_fb = base.tau_feedback(x[q_lane]) + extra;
-        let qd1 = hist.eval(t - tau_fb, q_lane).max(0.0);
-
-        let sum_rates: f64 = (0..self.n_flows)
-            .map(|i| x[lane_of(self.rate_index(i), lane, stride)])
-            .sum();
-        // State component 0 is the shared queue.
-        dxdt[q_lane] = if x[q_lane] <= 0.0 && sum_rates < c {
-            0.0
-        } else {
-            sum_rates - c
-        };
-
-        let mut out = [0.0; 2];
-        // Flows at equal rates share the same delayed lookup time; cache the
-        // last one so the common symmetric case does one `locate` per
-        // distinct delayed time instead of one per flow.
-        let mut qd2_cache = (f64::NAN, 0.0);
-        for i in 0..self.n_flows {
-            let ri = lane_of(self.rate_index(i), lane, stride);
-            let gi = lane_of(self.grad_index(i), lane, stride);
-            let r = x[ri];
-            let g = x[gi];
-            let tau_i = base.tau_star(r);
-            let t2 = t - tau_fb - tau_i;
-            // simlint: allow(float-cmp) — memo key: only a bitwise-identical t2 may reuse the cache
-            let qd2 = if t2 == qd2_cache.0 {
-                qd2_cache.1
-            } else {
-                let v = hist.eval(t2, q_lane).max(0.0);
-                qd2_cache = (t2, v);
-                v
-            };
-            PatchedTimelyFluid::flow_rhs(&self.params, r, g, qd1, qd2, &mut out);
-            let [d_r, d_g] = out;
-            dxdt[ri] = d_r;
-            dxdt[gi] = d_g;
-        }
+        family_lane_rhs(
+            &self.params.base,
+            &*self,
+            self.n_flows,
+            t,
+            extra,
+            x,
+            lane,
+            stride,
+            hist,
+            dxdt,
+        );
     }
 
     fn min_delay(&self) -> f64 {
         self.params.base.tau_feedback(0.0)
     }
 
+    fn history_dim(&self) -> usize {
+        QUEUE_ONLY
+    }
+
     fn lane_project(&mut self, _t: f64, x: &mut [f64], lane: usize, stride: usize) {
-        let base = &self.params.base;
-        let line = base.capacity_pps();
-        let floor = base.min_rate_pps();
-        let q = lane_of(0, lane, stride);
-        x[q] = x[q].max(0.0); // component 0 is the queue
-        for i in 0..self.n_flows {
-            let ri = lane_of(self.rate_index(i), lane, stride);
-            x[ri] = x[ri].clamp(floor, line);
-            let gi = lane_of(self.grad_index(i), lane, stride);
-            x[gi] = x[gi].clamp(-10.0, 10.0);
-        }
+        family_lane_project(&self.params.base, self.n_flows, 2, x, lane, stride);
     }
 }
 
@@ -360,6 +355,10 @@ impl DdeSystem for PatchedTimelyFluid {
 
     fn min_delay(&self) -> f64 {
         LaneSystem::min_delay(self)
+    }
+
+    fn history_dim(&self) -> usize {
+        LaneSystem::history_dim(self)
     }
 
     fn project(&mut self, t: f64, x: &mut [f64]) {

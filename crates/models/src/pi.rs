@@ -16,7 +16,8 @@
 //!   both, when delay is the only feedback.
 
 use crate::dcqcn::{flow_block_rhs, project_flow_block, DcqcnParams};
-use crate::patched_timely::PatchedTimelyParams;
+use crate::patched_timely::{eq29_band, PatchedTimelyParams};
+use crate::timely::{family_lane_project, family_lane_rhs, RateLaw, TimelyConsts, QUEUE_ONLY};
 use crate::units;
 use fluid::batch::{lane_of, LaneSystem};
 use fluid::dde::{integrate_dde_with_prehistory, DdeOptions, DdeSystem};
@@ -192,6 +193,10 @@ impl DdeSystem for DcqcnPiFluid {
         LaneSystem::min_delay(self)
     }
 
+    fn history_dim(&self) -> usize {
+        LaneSystem::history_dim(self)
+    }
+
     fn project(&mut self, t: f64, x: &mut [f64]) {
         self.lane_project(t, x, 0, 1);
     }
@@ -285,6 +290,23 @@ impl PatchedTimelyPiFluid {
     }
 }
 
+impl RateLaw for PatchedTimelyPiFluid {
+    const FLOW_DIM: usize = 3;
+
+    /// Eq 29 with the flow's PI variable `p_i` replacing `(q − q′)/q′`.
+    fn band_rate(&self, k: &TimelyConsts, s: &[f64], _qd1: f64, tau: f64) -> f64 {
+        eq29_band(k, s, tau, s[2]) // s = [R, g, p_i]
+    }
+
+    /// End-host PI on the measured delay (Eq 32 with `e` from delayed queue
+    /// observations; `de/dt` estimated from successive samples).
+    fn private_rhs(&self, qd1: f64, qd2: f64, tau: f64, out: &mut [f64]) {
+        let e = qd1 - self.gains.q_ref_pkts;
+        let dedt = (qd1 - qd2) / tau;
+        out[0] = self.gains.k1 * dedt + self.gains.k2 * e; // out = [dp_i/dt]
+    }
+}
+
 impl LaneSystem for PatchedTimelyPiFluid {
     fn lane_dim(&self) -> usize {
         self.state_dim()
@@ -299,85 +321,31 @@ impl LaneSystem for PatchedTimelyPiFluid {
         hist: &History,
         dxdt: &mut [f64],
     ) {
-        let p = &self.params;
-        let base = &p.base;
-        let c = base.capacity_pps();
-        let q = lane_of(0, lane, stride);
-        // Component 0 is the queue; the delayed lookup time is per-lane
-        // because Eq 24's feedback delay depends on the lane's own queue.
-        let tau_fb = base.tau_feedback(x[q]);
-        let qd1 = hist.eval(t - tau_fb, q).max(0.0);
-
-        let sum_rates: f64 = (0..self.n_flows)
-            .map(|i| x[lane_of(self.rate_index(i), lane, stride)])
-            .sum();
-        // State component 0 is the shared queue.
-        dxdt[q] = if x[q] <= 0.0 && sum_rates < c {
-            0.0
-        } else {
-            sum_rates - c
-        };
-
-        let q_low = base.q_low_pkts();
-        let q_high = base.q_high_pkts();
-        let delta = base.delta_pps();
-
-        // Flows at equal rates share the same delayed lookup time; cache the
-        // last one so the common symmetric case does one `locate` per
-        // distinct delayed time instead of one per flow.
-        let mut qd2_cache = (f64::NAN, 0.0);
-        for i in 0..self.n_flows {
-            let ri = lane_of(self.rate_index(i), lane, stride);
-            let gi = lane_of(self.grad_index(i), lane, stride);
-            let pi = lane_of(self.p_index(i), lane, stride);
-            let r = x[ri];
-            let g = x[gi];
-            let p_i = x[pi];
-            let tau_i = base.tau_star(r);
-            let t2 = t - tau_fb - tau_i;
-            // simlint: allow(float-cmp) — memo key: only a bitwise-identical t2 may reuse the cache
-            let qd2 = if t2 == qd2_cache.0 {
-                qd2_cache.1
-            } else {
-                let v = hist.eval(t2, q).max(0.0);
-                qd2_cache = (t2, v);
-                v
-            };
-
-            // End-host PI on the measured delay (Eq 32 with e from delayed
-            // queue observations; de/dt estimated from successive samples).
-            let e = qd1 - self.gains.q_ref_pkts;
-            let dedt = (qd1 - qd2) / tau_i;
-            dxdt[pi] = self.gains.k1 * dedt + self.gains.k2 * e;
-
-            // Eq 29 with the PI variable replacing (q − q')/q'.
-            dxdt[ri] = if qd1 < q_low {
-                delta / tau_i
-            } else if qd1 > q_high {
-                -(base.beta / tau_i) * (1.0 - q_high / qd1) * r
-            } else {
-                let w = PatchedTimelyParams::weight(g);
-                (1.0 - w) * delta / tau_i - w * base.beta * r / tau_i * p_i
-            };
-            dxdt[gi] = base.ewma_alpha / tau_i * (-g + (qd1 - qd2) / (c * base.d_min_rtt_s()));
-        }
+        family_lane_rhs(
+            &self.params.base,
+            &*self,
+            self.n_flows,
+            t,
+            0.0,
+            x,
+            lane,
+            stride,
+            hist,
+            dxdt,
+        );
     }
 
     fn min_delay(&self) -> f64 {
         self.params.base.tau_feedback(0.0)
     }
 
+    fn history_dim(&self) -> usize {
+        QUEUE_ONLY
+    }
+
     fn lane_project(&mut self, _t: f64, x: &mut [f64], lane: usize, stride: usize) {
-        let base = &self.params.base;
-        let line = base.capacity_pps();
-        let floor = base.min_rate_pps();
-        let q = lane_of(0, lane, stride);
-        x[q] = x[q].max(0.0); // component 0 is the queue
+        family_lane_project(&self.params.base, self.n_flows, 3, x, lane, stride);
         for i in 0..self.n_flows {
-            let ri = lane_of(self.rate_index(i), lane, stride);
-            x[ri] = x[ri].clamp(floor, line);
-            let gi = lane_of(self.grad_index(i), lane, stride);
-            x[gi] = x[gi].clamp(-10.0, 10.0);
             // p_i is an internal feedback variable; keep it bounded like a
             // probability-scaled signal.
             let pi = lane_of(self.p_index(i), lane, stride);
@@ -397,6 +365,10 @@ impl DdeSystem for PatchedTimelyPiFluid {
 
     fn min_delay(&self) -> f64 {
         LaneSystem::min_delay(self)
+    }
+
+    fn history_dim(&self) -> usize {
+        LaneSystem::history_dim(self)
     }
 
     fn project(&mut self, t: f64, x: &mut [f64]) {

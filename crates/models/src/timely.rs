@@ -241,7 +241,8 @@ impl TimelyFluid {
     }
 
     /// The rate derivative of Eq 21 for one flow, given the delayed queue
-    /// observations. Exposed for the Theorem 3/4 tests.
+    /// observations: the unmemoized form, exposed for the Theorem 3/4 tests
+    /// and the reference the shared TIMELY-family kernel is checked against.
     // simlint: allow(unit-suffix) — returns dR/dt in pps/s, a compound dimension no suffix names
     pub fn rate_rhs(&self, r: f64, g: f64, q_delayed: f64) -> f64 {
         let p = &self.params;
@@ -263,6 +264,30 @@ impl TimelyFluid {
     }
 }
 
+impl RateLaw for TimelyFluid {
+    const FLOW_DIM: usize = 2;
+
+    fn started(&self, flow: usize, t: f64) -> bool {
+        t >= self.start_times[flow]
+    }
+
+    /// Algorithm 1's gradient rule: increase on a non-positive gradient
+    /// (strictly negative under Eq 28), else decrease in proportion to it.
+    fn band_rate(&self, k: &TimelyConsts, s: &[f64], _qd1: f64, tau: f64) -> f64 {
+        let (r, g) = (s[0], s[1]); // s = [R, g]
+        let increase_on_tie = if self.params.tie_increases {
+            g <= 0.0
+        } else {
+            g < 0.0
+        };
+        if increase_on_tie {
+            k.delta_pps / tau
+        } else {
+            -(g.max(0.0) * k.beta / tau) * r
+        }
+    }
+}
+
 impl LaneSystem for TimelyFluid {
     fn lane_dim(&self) -> usize {
         self.state_dim()
@@ -277,44 +302,190 @@ impl LaneSystem for TimelyFluid {
         hist: &History,
         dxdt: &mut [f64],
     ) {
-        let p = &self.params;
-        let c = p.capacity_pps();
         let extra = self.jitter.as_ref().map_or(0.0, |j| j.extra(t));
-        let q_lane = lane_of(0, lane, stride);
-        // Eq 24: feedback delay includes the *current* queueing delay — the
-        // delayed lookup time is per-lane because each lane has its own queue.
-        let tau_fb = p.tau_feedback(x[q_lane]) + extra;
-        let qd1 = hist.eval(t - tau_fb, q_lane).max(0.0);
+        family_lane_rhs(
+            &self.params,
+            &*self,
+            self.n_flows,
+            t,
+            extra,
+            x,
+            lane,
+            stride,
+            hist,
+            dxdt,
+        );
+    }
 
-        let mut sum_rates = 0.0;
-        for i in 0..self.n_flows {
-            if t >= self.start_times[i] {
-                sum_rates += x[lane_of(self.rate_index(i), lane, stride)];
-            }
+    fn min_delay(&self) -> f64 {
+        // τ' at an empty queue: MTU/C + D_prop.
+        self.params.tau_feedback(0.0)
+    }
+
+    fn history_dim(&self) -> usize {
+        QUEUE_ONLY
+    }
+
+    fn lane_project(&mut self, _t: f64, x: &mut [f64], lane: usize, stride: usize) {
+        family_lane_project(&self.params, self.n_flows, 2, x, lane, stride);
+    }
+}
+
+/// Largest per-flow state of the TIMELY family: `(R, g, p)` under PI.
+const MAX_FLOW_DIM: usize = 3;
+
+/// The TIMELY family reads only the delayed queue (component 0) through the
+/// history — `q(t − τ′)` and `q(t − τ′ − τ*)` in Eqs 22, 24 and 29 — so its
+/// models record just that prefix.
+pub(crate) const QUEUE_ONLY: usize = 1;
+
+/// The parameter-derived constants of a TIMELY-family RHS, computed once per
+/// call by the same expressions as the [`TimelyParams`] accessors, so each
+/// value is bit-identical to the per-flow re-derivation it replaces.
+pub(crate) struct TimelyConsts {
+    /// Capacity `C`.
+    pub(crate) c_pps: f64,
+    /// `MTU/C`: one packet's transmission time.
+    mtu_s: f64,
+    d_prop_s: f64,
+    seg_pkts: f64,
+    d_min_rtt_s: f64,
+    /// `C·T_low`.
+    pub(crate) q_low_pkts: f64,
+    /// `C·T_high`.
+    pub(crate) q_high_pkts: f64,
+    /// Additive-increase step `δ`.
+    pub(crate) delta_pps: f64,
+    /// Multiplicative-decrease factor `β`.
+    pub(crate) beta: f64,
+    ewma_alpha: f64,
+    /// `C·D_minRTT`, Eq 22's gradient normalization.
+    grad_scale_pkts: f64,
+}
+
+impl TimelyConsts {
+    pub(crate) fn new(p: &TimelyParams) -> Self {
+        let c_pps = p.capacity_pps();
+        TimelyConsts {
+            c_pps,
+            mtu_s: 1.0 / c_pps,
+            d_prop_s: p.d_prop_s(),
+            seg_pkts: p.seg_pkts(),
+            d_min_rtt_s: p.d_min_rtt_s(),
+            q_low_pkts: p.q_low_pkts(),
+            q_high_pkts: p.q_high_pkts(),
+            delta_pps: p.delta_pps(),
+            beta: p.beta,
+            ewma_alpha: p.ewma_alpha,
+            grad_scale_pkts: c_pps * p.d_min_rtt_s(),
         }
-        // State component 0 is the shared queue.
-        dxdt[q_lane] = if x[q_lane] <= 0.0 && sum_rates < c {
-            0.0
-        } else {
-            sum_rates - c
-        };
+    }
 
-        // Flows at equal rates share the same delayed lookup time; cache the
-        // last one so the common symmetric case does one `locate` per
-        // distinct delayed time instead of one per flow.
-        let mut qd2_cache = (f64::NAN, 0.0);
-        for i in 0..self.n_flows {
-            let ri = lane_of(self.rate_index(i), lane, stride);
-            let gi = lane_of(self.grad_index(i), lane, stride);
-            if t < self.start_times[i] {
-                dxdt[ri] = 0.0;
-                dxdt[gi] = 0.0;
+    /// [`TimelyParams::tau_star`].
+    fn tau_star(&self, r: f64) -> f64 {
+        (self.seg_pkts / r.max(1e-3)).max(self.d_min_rtt_s)
+    }
+
+    /// [`TimelyParams::tau_feedback`].
+    fn tau_feedback(&self, q: f64) -> f64 {
+        q.max(0.0) / self.c_pps + self.mtu_s + self.d_prop_s
+    }
+}
+
+/// The per-model part of a TIMELY-family flow: the rate law in the gradient
+/// band `C·T_low ≤ q(t − τ′) ≤ C·T_high`, plus any law-private state. The
+/// queue equation, the delayed lookups, the two threshold regimes and the
+/// gradient EWMA of Eq 22 are shared ([`family_lane_rhs`]).
+pub(crate) trait RateLaw {
+    /// State components per flow: `(R, g)` and then the law's private ones
+    /// (at most [`MAX_FLOW_DIM`] in all).
+    const FLOW_DIM: usize;
+
+    /// Whether flow `flow` sends at time `t`; an unstarted flow is frozen
+    /// and adds nothing to the queue. Default: always.
+    fn started(&self, _flow: usize, _t: f64) -> bool {
+        true
+    }
+
+    /// `dR/dt` in the gradient band for flow state `s = [R, g, …]`, delayed
+    /// queue `qd1 = q(t − τ′)` and update interval `tau = τ*(R)`.
+    fn band_rate(&self, k: &TimelyConsts, s: &[f64], qd1: f64, tau: f64) -> f64;
+
+    /// Derivatives of the private components `s[2..]` into `out`
+    /// (`qd2 = q(t − τ′ − τ*)`). Default: none.
+    fn private_rhs(&self, _qd1: f64, _qd2: f64, _tau: f64, _out: &mut [f64]) {}
+}
+
+/// The TIMELY-family RHS over one lane: the queue (component 0, Eq 20) and
+/// then `n_flows` blocks of `L::FLOW_DIM` components from component 1.
+/// Shared by [`TimelyFluid`], patched TIMELY and patched TIMELY-PI, which
+/// differ only in their [`RateLaw`]. `extra_delay_s` is added to `τ′`
+/// (feedback jitter, Figure 20). The constants derived from `p` are
+/// computed once per call ([`TimelyConsts`]), not once per flow.
+///
+/// A flow's derivative is a pure function of its own state, its start flag
+/// and values shared by the whole lane, so it is memoized on the previous
+/// flow's exact bits: the N flows of a symmetric run pay one evaluation,
+/// bit-unchanged.
+#[allow(clippy::too_many_arguments)]
+pub(crate) fn family_lane_rhs<L: RateLaw>(
+    p: &TimelyParams,
+    law: &L,
+    n_flows: usize,
+    t: f64,
+    extra_delay_s: f64,
+    x: &[f64],
+    lane: usize,
+    stride: usize,
+    hist: &History,
+    dxdt: &mut [f64],
+) {
+    let k = &TimelyConsts::new(p);
+    let w = L::FLOW_DIM;
+    let q_lane = lane_of(0, lane, stride);
+    // Eq 24: the feedback delay includes the *current* queueing delay — the
+    // delayed lookup time is per-lane because each lane has its own queue.
+    let tau_fb = k.tau_feedback(x[q_lane]) + extra_delay_s;
+    let qd1 = hist.eval(t - tau_fb, q_lane).max(0.0);
+
+    // Flows at equal rates share the same delayed lookup time; cache the
+    // last one so the common symmetric case does one `locate` per
+    // distinct delayed time instead of one per flow.
+    let mut qd2_cache = (f64::NAN, 0.0);
+    // The memo: the first component and start flag of the previous flow,
+    // whose derivatives are already in `dxdt`.
+    let mut prev: Option<(usize, bool)> = None;
+    let mut s = [0.0; MAX_FLOW_DIM];
+    // Eq 20's arrival rate, summed in flow order within the same pass.
+    let mut sum_rates = 0.0;
+    for i in 0..n_flows {
+        let first = 1 + w * i;
+        let started = law.started(i, t);
+        if started {
+            sum_rates += x[lane_of(first, lane, stride)];
+        }
+        if let Some((pf, p_started)) = prev {
+            let same = |j: usize| {
+                x[lane_of(first + j, lane, stride)].to_bits()
+                    == x[lane_of(pf + j, lane, stride)].to_bits()
+            };
+            if started == p_started && (0..w).all(same) {
+                for j in 0..w {
+                    dxdt[lane_of(first + j, lane, stride)] = dxdt[lane_of(pf + j, lane, stride)];
+                }
                 continue;
             }
-            let r = x[ri];
-            let g = x[gi];
-            let tau_i = p.tau_star(r);
-            let t2 = t - tau_fb - tau_i;
+        }
+        prev = Some((first, started));
+        let mut out = [0.0; MAX_FLOW_DIM];
+        if started {
+            for (j, sj) in s[..w].iter_mut().enumerate() {
+                *sj = x[lane_of(first + j, lane, stride)];
+            }
+            // Every flow state starts (R, g); `out` is (dR/dt, dg/dt, …).
+            let (r, g) = (s[0], s[1]);
+            let tau = k.tau_star(r);
+            let t2 = t - tau_fb - tau;
             // simlint: allow(float-cmp) — memo key: only a bitwise-identical t2 may reuse the cache
             let qd2 = if t2 == qd2_cache.0 {
                 qd2_cache.1
@@ -323,30 +494,52 @@ impl LaneSystem for TimelyFluid {
                 qd2_cache = (t2, v);
                 v
             };
-            dxdt[ri] = self.rate_rhs(r, g, qd1);
+            // The two threshold regimes are common to the family; the
+            // gradient band is the rate law's.
+            out[0] = if qd1 < k.q_low_pkts {
+                k.delta_pps / tau
+            } else if qd1 > k.q_high_pkts {
+                -(k.beta / tau) * (1.0 - k.q_high_pkts / qd1) * r
+            } else {
+                law.band_rate(k, &s[..w], qd1, tau)
+            };
             // Eq 22: EWMA of the normalized queue (≈ RTT) difference.
-            dxdt[gi] = p.ewma_alpha / tau_i * (-g + (qd1 - qd2) / (c * p.d_min_rtt_s()));
+            out[1] = k.ewma_alpha / tau * (-g + (qd1 - qd2) / k.grad_scale_pkts);
+            law.private_rhs(qd1, qd2, tau, &mut out[2..w]);
+        }
+        for (j, &d) in out[..w].iter().enumerate() {
+            dxdt[lane_of(first + j, lane, stride)] = d;
         }
     }
+    // State component 0 is the shared queue.
+    dxdt[q_lane] = if x[q_lane] <= 0.0 && sum_rates < k.c_pps {
+        0.0
+    } else {
+        sum_rates - k.c_pps
+    };
+}
 
-    fn min_delay(&self) -> f64 {
-        // τ' at an empty queue: MTU/C + D_prop.
-        self.params.tau_feedback(0.0)
-    }
-
-    fn lane_project(&mut self, _t: f64, x: &mut [f64], lane: usize, stride: usize) {
-        let p = &self.params;
-        let line = p.capacity_pps();
-        let floor = p.min_rate_pps();
-        let q = lane_of(0, lane, stride);
-        x[q] = x[q].max(0.0); // component 0 is the queue
-        for i in 0..self.n_flows {
-            let ri = lane_of(self.rate_index(i), lane, stride);
-            x[ri] = x[ri].clamp(floor, line);
-            // Gradient is a normalized dimensionless signal; keep it sane.
-            let gi = lane_of(self.grad_index(i), lane, stride);
-            x[gi] = x[gi].clamp(-10.0, 10.0);
-        }
+/// Clamp one TIMELY-family lane (layout as in [`family_lane_rhs`]): the
+/// queue non-negative, rates to `[floor, line]` and the normalized gradient
+/// to `[−10, 10]`. Private per-flow components are the caller's.
+pub(crate) fn family_lane_project(
+    p: &TimelyParams,
+    n_flows: usize,
+    flow_dim: usize,
+    x: &mut [f64],
+    lane: usize,
+    stride: usize,
+) {
+    let line = p.capacity_pps();
+    let floor = p.min_rate_pps();
+    let q = lane_of(0, lane, stride);
+    x[q] = x[q].max(0.0); // component 0 is the queue
+    for i in 0..n_flows {
+        let ri = lane_of(1 + flow_dim * i, lane, stride);
+        x[ri] = x[ri].clamp(floor, line);
+        // Gradient is a normalized dimensionless signal; keep it sane.
+        let gi = lane_of(2 + flow_dim * i, lane, stride);
+        x[gi] = x[gi].clamp(-10.0, 10.0);
     }
 }
 
@@ -361,6 +554,10 @@ impl DdeSystem for TimelyFluid {
 
     fn min_delay(&self) -> f64 {
         LaneSystem::min_delay(self)
+    }
+
+    fn history_dim(&self) -> usize {
+        LaneSystem::history_dim(self)
     }
 
     fn project(&mut self, t: f64, x: &mut [f64]) {
@@ -514,5 +711,261 @@ mod tests {
         let tr = m.simulate(0.2);
         let sum: f64 = (0..4).map(|i| tr.mean_from(m.rate_index(i), 0.15)).sum();
         assert!((sum - c).abs() / c < 0.1, "aggregate {sum} vs capacity {c}");
+    }
+
+    /// A history of one `stride`-wide block whose only recorded component
+    /// is the queue, on [0, 20 ms] at 10 µs knots: `lane`'s queue is random
+    /// in `[lo, hi]`, the other lanes' NaN.
+    fn queue_history(
+        rng: &mut desim::SimRng,
+        lane: usize,
+        stride: usize,
+        lo: f64,
+        hi: f64,
+    ) -> History {
+        let mut row = vec![f64::NAN; stride];
+        row[lane] = rng.uniform(lo, hi);
+        let mut h = History::new(0.0, &row);
+        for k in 1..=2000 {
+            row[lane] = rng.uniform(lo, hi);
+            h.push(k as f64 * 10e-6, &row);
+        }
+        h
+    }
+
+    /// `n` flow states `[R, g, p]`: all equal, all distinct, two
+    /// alternating, equal `R` with distinct `(g, p)`, or equal `(R, g)`
+    /// with distinct `p` — so the kernel's memo hits, misses and
+    /// alternates, and a memo keyed on too little is caught. `idle` keeps
+    /// `ΣR < C`.
+    fn random_flow_states(
+        rng: &mut desim::SimRng,
+        p: &TimelyParams,
+        n: usize,
+        idle: bool,
+    ) -> Vec<[f64; 3]> {
+        let (floor, line) = (p.min_rate_pps(), p.capacity_pps());
+        let top = if idle { 0.9 * line / n as f64 } else { line };
+        let state = |rng: &mut desim::SimRng| {
+            let g = match rng.next_below(4) {
+                0 => 0.0,
+                1 => [-0.25, 0.25][rng.next_below(2) as usize],
+                _ => rng.uniform(-1.0, 1.0),
+            };
+            [rng.uniform(floor, top), g, rng.uniform(-2.0, 2.0)]
+        };
+        let shared = [state(rng), state(rng)];
+        let mode = rng.next_below(5);
+        (0..n)
+            .map(|i| {
+                let mut s = state(rng);
+                match mode {
+                    0 => s = shared[0],
+                    1 => {}
+                    2 => s = shared[i % 2],
+                    3 => s[0] = shared[0][0],
+                    _ => s[..2].copy_from_slice(&shared[0][..2]),
+                }
+                s
+            })
+            .collect()
+    }
+
+    /// `sys.lane_rhs` at `t` for lane `lane` of a `stride`-wide block whose
+    /// other lanes hold NaN, returned dense.
+    fn lane_rhs_dense<S: LaneSystem>(
+        sys: &mut S,
+        t: f64,
+        x: &[f64],
+        hist: &History,
+        lane: usize,
+        stride: usize,
+    ) -> Vec<f64> {
+        let dim = x.len();
+        let mut xb = vec![f64::NAN; dim * stride];
+        for (c, &v) in x.iter().enumerate() {
+            xb[lane_of(c, lane, stride)] = v;
+        }
+        let mut dx = vec![f64::NAN; dim * stride];
+        sys.lane_rhs(t, &xb, lane, stride, hist, &mut dx);
+        (0..dim).map(|c| dx[lane_of(c, lane, stride)]).collect()
+    }
+
+    /// An unmemoized per-flow evaluation `(state, qd1, qd2, out)`.
+    type FlowRef<'a> = dyn Fn(&[f64], f64, f64, &mut [f64]) + 'a;
+
+    /// The slow reference over a dense lane state with flows of `w`
+    /// components from component 1: Eq 20's queue row, then for each
+    /// started flow its own `hist.eval` lookups and one unmemoized `flow`
+    /// evaluation `(state, qd1, qd2, out)`.
+    #[allow(clippy::too_many_arguments)]
+    fn reference_rhs(
+        p: &TimelyParams,
+        w: usize,
+        started: &dyn Fn(usize) -> bool,
+        t: f64,
+        extra: f64,
+        x: &[f64],
+        hist: &History,
+        q_comp: usize,
+        flow: &FlowRef<'_>,
+    ) -> Vec<f64> {
+        let n = (x.len() - 1) / w;
+        let c = p.capacity_pps();
+        let tau_fb = p.tau_feedback(x[0]) + extra;
+        let qd1 = hist.eval(t - tau_fb, q_comp).max(0.0);
+        let mut want = vec![0.0; x.len()];
+        let sum_rates: f64 = (0..n).filter(|&i| started(i)).map(|i| x[1 + w * i]).sum();
+        want[0] = if x[0] <= 0.0 && sum_rates < c {
+            0.0
+        } else {
+            sum_rates - c
+        };
+        for i in (0..n).filter(|&i| started(i)) {
+            let f = 1 + w * i;
+            let tau = p.tau_star(x[f]);
+            let qd2 = hist.eval(t - tau_fb - tau, q_comp).max(0.0);
+            flow(&x[f..f + w], qd1, qd2, &mut want[f..f + w]);
+        }
+        want
+    }
+
+    fn assert_bits(got: &[f64], want: &[f64], what: &str) {
+        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(got), bits(want), "{what}: {got:?} vs {want:?}");
+    }
+
+    #[test]
+    fn family_kernel_matches_unmemoized_reference() {
+        // TIMELY, patched TIMELY and patched TIMELY-PI through the shared
+        // memoized flow loop, against one unmemoized `rate_rhs`/`flow_rhs`
+        // evaluation plus `hist.eval` lookups per flow, bit for bit.
+        use crate::patched_timely::{PatchedTimelyFluid, PatchedTimelyParams};
+        use crate::pi::PatchedTimelyPiFluid;
+        let pp = PatchedTimelyParams::default_10g();
+        let gains = PatchedTimelyPiFluid::default_gains(&pp, 300.0);
+        let t = 0.02;
+        let mut rng = desim::SimRng::new(0x7111_e1f0);
+        for case in 0..300 {
+            let n = 1 + rng.next_below(8) as usize;
+            let stride = 1 + rng.next_below(3) as usize;
+            let lane = rng.next_below(stride as u64) as usize;
+            let idle = rng.next_below(3) == 0;
+            // An empty queue with ΣR both below and above C covers both
+            // sides of Eq 20's empty-queue branch.
+            let q = if rng.next_below(3) == 0 {
+                0.0
+            } else {
+                rng.uniform(0.0, 1250.0)
+            };
+            let region = rng.next_below(3);
+            let jitter = (rng.next_below(2) == 0)
+                .then(|| Jitter::uniform(100e-6, 20e-6, rng.next_below(1000)));
+            let extra = jitter.as_ref().map_or(0.0, |j| j.extra(t));
+            let what = format!("case {case}: n={n} q={q} region={region} lane={lane}/{stride}");
+            let states = random_flow_states(&mut rng, &pp.base, n, idle);
+            let dense = |w: usize| {
+                let mut x = vec![q];
+                for s in &states {
+                    x.extend_from_slice(&s[..w]);
+                }
+                x
+            };
+            // `qd1` below `C·T_low`, in the gradient band, or above `C·T_high`.
+            let (q_low, q_high) = (pp.base.q_low_pkts(), pp.base.q_high_pkts());
+            let (lo, hi) = match region {
+                0 => (-5.0, q_low - 1e-9),
+                1 => (q_low, q_high),
+                _ => (q_high + 1e-9, 2.0 * q_high),
+            };
+            let hist = queue_history(&mut rng, lane, stride, lo, hi);
+            let q_comp = lane_of(0, lane, stride);
+
+            // TIMELY: the gradient rule, with flows starting before, at or
+            // after `t` (alternating, so equal states differ only in it).
+            let mut tp = TimelyParams::default_10g();
+            tp.tie_increases = rng.next_below(2) == 0;
+            let starts: Vec<f64> = match rng.next_below(3) {
+                0 => vec![0.0; n],
+                1 => (0..n).map(|i| [0.0, t + 1e-3][i % 2]).collect(),
+                _ => (0..n)
+                    .map(|_| [0.0, t, t + 1e-3][rng.next_below(3) as usize])
+                    .collect(),
+            };
+            let mut m = TimelyFluid::new(tp.clone(), n).with_start_times(starts.clone());
+            if let Some(j) = &jitter {
+                m = m.with_jitter(j.clone());
+            }
+            let x = dense(2);
+            let want = reference_rhs(
+                &tp,
+                2,
+                &|i| t >= starts[i],
+                t,
+                extra,
+                &x,
+                &hist,
+                q_comp,
+                &|s, qd1, qd2, out| {
+                    let tau = tp.tau_star(s[0]);
+                    out[0] = m.rate_rhs(s[0], s[1], qd1);
+                    out[1] = tp.ewma_alpha / tau
+                        * (-s[1] + (qd1 - qd2) / (tp.capacity_pps() * tp.d_min_rtt_s()));
+                },
+            );
+            let got = lane_rhs_dense(&mut m.clone(), t, &x, &hist, lane, stride);
+            assert_bits(&got, &want, &format!("TIMELY {what}"));
+
+            // Patched TIMELY: Eq 29 with the Eq 30 weight.
+            let mut m = PatchedTimelyFluid::new(pp.clone(), n);
+            if let Some(j) = &jitter {
+                m = m.with_jitter(j.clone());
+            }
+            let want = reference_rhs(
+                &pp.base,
+                2,
+                &|_| true,
+                t,
+                extra,
+                &x,
+                &hist,
+                q_comp,
+                &|s, qd1, qd2, out| PatchedTimelyFluid::flow_rhs(&pp, s[0], s[1], qd1, qd2, out),
+            );
+            let got = lane_rhs_dense(&mut m, t, &x, &hist, lane, stride);
+            assert_bits(&got, &want, &format!("patched {what}"));
+
+            // Patched TIMELY-PI: Eq 29 with the end-host PI state, Eq 32.
+            let mut m = PatchedTimelyPiFluid::new(pp.clone(), gains.clone(), n);
+            let x = dense(3);
+            let b = &pp.base;
+            let want = reference_rhs(
+                b,
+                3,
+                &|_| true,
+                t,
+                0.0,
+                &x,
+                &hist,
+                q_comp,
+                &|s, qd1, qd2, out| {
+                    let (r, g, p_i) = (s[0], s[1], s[2]);
+                    let tau = b.tau_star(r);
+                    out[0] = if qd1 < b.q_low_pkts() {
+                        b.delta_pps() / tau
+                    } else if qd1 > b.q_high_pkts() {
+                        -(b.beta / tau) * (1.0 - b.q_high_pkts() / qd1) * r
+                    } else {
+                        let w = PatchedTimelyParams::weight(g);
+                        (1.0 - w) * b.delta_pps() / tau - w * b.beta * r / tau * p_i
+                    };
+                    out[1] = b.ewma_alpha / tau
+                        * (-g + (qd1 - qd2) / (b.capacity_pps() * b.d_min_rtt_s()));
+                    out[2] = gains.k1 * ((qd1 - qd2) / tau) + gains.k2 * (qd1 - gains.q_ref_pkts);
+                },
+            );
+            let got = lane_rhs_dense(&mut m, t, &x, &hist, lane, stride);
+            assert_bits(&got, &want, &format!("PI {what}"));
+        }
     }
 }
